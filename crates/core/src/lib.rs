@@ -50,9 +50,13 @@ mod corpus;
 mod feature;
 mod measure;
 pub mod nbag;
-pub mod parallel;
 mod predictor;
 pub mod schemes;
+
+/// Deterministic scoped-thread parallelism for corpus measurement and fold
+/// training; the primitive lives in [`bagpred_trace::parallel`], where the
+/// workload kernels share it.
+pub use bagpred_trace::parallel;
 
 pub use analysis::{DecisionPathReport, FeatureUsage};
 pub use bag::Bag;

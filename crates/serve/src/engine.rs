@@ -56,7 +56,7 @@ use crate::snapshot::{self, ModelRegistry, ServableModel};
 use bagpred_core::nbag::{NBag, NBagMeasurement, MAX_BAG};
 use bagpred_core::{Bag, Measurement, Platforms};
 use bagpred_obs::{EventLog, SlowEvent, Stage, StageSet, Trace};
-use bagpred_workloads::Workload;
+use bagpred_workloads::{Workload, MAX_BATCH};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -1686,6 +1686,7 @@ fn prepare_predict(
             )),
         ));
     }
+    check_batches(apps).map_err(|e| (None, e))?;
     let (name, model) = resolve_model(&inner.registry, model, apps.len()).map_err(|e| (None, e))?;
     inner.model_metrics.for_model(&name).on_received();
     // Fence quarantined models *before* feature collection: the request
@@ -1725,6 +1726,20 @@ fn prepare_predict(
     Ok((name, model, record))
 }
 
+/// Rejects any app whose batch exceeds [`MAX_BATCH`], before a cache miss
+/// could make the kernels synthesize and profile it. Both wire dialects
+/// decode batches losslessly, so this one check bounds both.
+fn check_batches(apps: &[Workload]) -> Result<(), ServeError> {
+    match apps.iter().find(|w| w.batch_size() > MAX_BATCH) {
+        Some(w) => Err(ServeError::BadRequest(format!(
+            "batch {} of {} exceeds the limit of {MAX_BATCH}",
+            w.batch_size(),
+            w.benchmark()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Handles one request, returning the outcome plus the name of the model
 /// that served it (when one was resolved) for per-model accounting.
 fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<String>, Outcome) {
@@ -1759,6 +1774,9 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
                     None,
                     Err(ServeError::BadRequest("no apps to schedule".into())),
                 );
+            }
+            if let Err(err) = check_batches(apps) {
+                return (None, Err(err));
             }
             // Arity for default-model resolution: the largest co-run the
             // packer may form. With one GPU and >2 apps only an n-bag
@@ -2095,6 +2113,45 @@ mod tests {
             Workload::new(Benchmark::Sift, 20),
             Workload::new(Benchmark::Knn, 40),
         ]
+    }
+
+    #[test]
+    fn batches_above_the_limit_are_rejected_before_any_profiling() {
+        let at_limit = [Workload::new(Benchmark::Svm, MAX_BATCH), pair_apps()[0]];
+        assert!(check_batches(&at_limit).is_ok());
+        let service = service();
+        let over = vec![Workload::new(Benchmark::Svm, MAX_BATCH + 1), pair_apps()[0]];
+        let requests = [
+            Request::Predict {
+                model: None,
+                apps: over.clone(),
+            },
+            Request::Predict {
+                model: Some(NBAG_MODEL.into()),
+                apps: [over.clone(), pair_apps()].concat(),
+            },
+            Request::Schedule {
+                model: None,
+                gpus: 2,
+                budget_s: 0.5,
+                apps: over,
+            },
+        ];
+        for request in requests {
+            let outcome = service.call(request);
+            assert!(
+                matches!(&outcome, Err(ServeError::BadRequest(m)) if m.contains("exceeds the limit")),
+                "{outcome:?}"
+            );
+        }
+        let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
+            panic!("stats failed");
+        };
+        assert_eq!(
+            stats.cache_misses, 0,
+            "a rejected request reached the cache"
+        );
+        service.shutdown();
     }
 
     #[test]
@@ -2801,17 +2858,27 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        // The sole worker dies twice on its way to the queue; the
-        // supervisor restarts it in place both times, so requests still
-        // complete — clients only see added latency, never a hang.
+        // Workers die twice on their way to the queue; the supervisor
+        // restarts each in place, so requests still complete — clients
+        // only see added latency, never a hang.
         service
             .call(Request::Predict {
                 model: Some(PAIR_MODEL.into()),
                 apps: pair_apps(),
             })
             .expect("served by the respawned worker");
-        let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
-            panic!("stats failed")
+        // The aborts may hit another shard's worker, whose respawn is
+        // counted on that shard's thread, concurrently with this reply:
+        // wait (bounded) for the count to land before checking it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let stats = loop {
+            let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
+                panic!("stats failed")
+            };
+            if stats.worker_respawns >= 2 || Instant::now() >= deadline {
+                break stats;
+            }
+            thread::sleep(Duration::from_millis(5));
         };
         assert_eq!(stats.worker_respawns, 2);
         assert_eq!(stats.faults_injected, 2);

@@ -1549,6 +1549,59 @@ mod tests {
     }
 
     #[test]
+    fn oversized_batches_are_rejected_on_both_dialects_and_the_server_stays_up() {
+        use bagpred_workloads::{Benchmark, Workload, MAX_BATCH};
+        let (mut server, service) = start();
+        let over = MAX_BATCH + 1;
+        let text = roundtrip(
+            server.local_addr(),
+            &[
+                &format!("predict SVM@{over}+KNN@20"),
+                &format!("schedule k=2 budget=0.5 SIFT@20 KNN@{over}"),
+                "predict SIFT@20+KNN@40",
+            ],
+        );
+        assert!(text[0].starts_with("err bad request"), "{}", text[0]);
+        assert!(text[0].contains(&MAX_BATCH.to_string()), "{}", text[0]);
+        assert!(text[1].starts_with("err bad request"), "{}", text[1]);
+        assert!(text[2].starts_with("ok "), "{}", text[2]);
+
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        let predict = |id, apps| {
+            Frame::new(
+                id,
+                Payload::Predict {
+                    model: None,
+                    apps,
+                    deadline: None,
+                    priority: Priority::Normal,
+                    hedge_of: None,
+                },
+            )
+        };
+        let oversized = vec![
+            Workload::new(Benchmark::Svm, over),
+            Workload::new(Benchmark::Knn, 20),
+        ];
+        send_frame(&mut writer, &predict(1, oversized));
+        let reply = read_frame(&mut reader);
+        assert_eq!(reply.request_id, 1);
+        let Payload::Error { code, message } = reply.payload else {
+            panic!("expected an error frame, got {:?}", reply.payload);
+        };
+        assert_eq!(code, frame::error_code::BAD_REQUEST);
+        assert!(message.contains(&MAX_BATCH.to_string()), "{message}");
+        send_frame(&mut writer, &predict(2, pair_apps()));
+        let reply = read_frame(&mut reader);
+        assert_eq!(reply.request_id, 2);
+        assert!(matches!(reply.payload, Payload::Prediction { .. }));
+        server.shutdown();
+        service.shutdown();
+    }
+
+    #[test]
     fn a_bad_binary_prelude_gets_one_error_frame_then_eof() {
         let (mut server, service) = start();
         let stream = TcpStream::connect(server.local_addr()).expect("connects");

@@ -19,6 +19,9 @@
 //!   the CPU and GPU timing models consume.
 //! * [`SplitMix64`] — a tiny deterministic RNG so workloads and dataset
 //!   generation are bit-reproducible independent of external crates.
+//! * [`parallel`] — the workspace's one parallelism primitive: an
+//!   order-preserving scoped-thread map, and its profiled form that lets a
+//!   kernel stage count into per-chunk profilers merged back exactly.
 //!
 //! # Example
 //!
@@ -43,6 +46,7 @@
 
 mod class;
 mod mix;
+pub mod parallel;
 mod profile;
 mod profiler;
 mod rng;

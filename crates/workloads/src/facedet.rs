@@ -8,6 +8,7 @@
 
 use crate::image::{GrayImage, IntegralImage};
 use crate::ops;
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler};
 use serde::{Deserialize, Serialize};
 
@@ -193,11 +194,14 @@ fn detect_at_scale(
 }
 
 /// Runs the Haar cascade over every image at two scales.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> FaceDetOutput {
-    let mut detections = Vec::with_capacity(images.len());
-    let mut windows = 0u64;
-    let mut stage1_rejections = 0u64;
-    for img in images {
+pub(crate) fn run_batch(
+    images: &[GrayImage],
+    threads: usize,
+    prof: &mut Profiler,
+) -> FaceDetOutput {
+    let per_image = map_profiled(images, threads, prof, |img, prof| {
+        let mut windows = 0u64;
+        let mut stage1_rejections = 0u64;
         let mut per_image = detect_at_scale(img, 1, prof, &mut windows, &mut stage1_rejections);
         let half = img.half();
         prof.read_bytes(img.len() as u64);
@@ -212,13 +216,13 @@ pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> FaceDetOut
             &mut windows,
             &mut stage1_rejections,
         ));
-        detections.push(per_image);
         prof.count(InstrClass::Stack, 4);
-    }
+        (per_image, windows, stage1_rejections)
+    });
     FaceDetOutput {
-        detections,
-        windows_evaluated: windows,
-        stage1_rejections,
+        windows_evaluated: per_image.iter().map(|(_, w, _)| w).sum(),
+        stage1_rejections: per_image.iter().map(|(_, _, r)| r).sum(),
+        detections: per_image.into_iter().map(|(d, _, _)| d).collect(),
     }
 }
 
@@ -251,7 +255,7 @@ mod tests {
     fn cascade_rejects_flat_windows() {
         let img = GrayImage::from_fn(64, 64, |_, _| 128);
         let mut prof = Profiler::new();
-        let out = run_batch(std::slice::from_ref(&img), &mut prof);
+        let out = run_batch(std::slice::from_ref(&img), 1, &mut prof);
         assert_eq!(out.total_detections(), 0);
         assert!(out.stage1_rejections > 0);
     }
@@ -260,7 +264,7 @@ mod tests {
     fn windows_counted() {
         let img = GrayImage::from_fn(64, 64, |_, _| 0);
         let mut prof = Profiler::new();
-        let out = run_batch(std::slice::from_ref(&img), &mut prof);
+        let out = run_batch(std::slice::from_ref(&img), 1, &mut prof);
         // 64x64, window 24, stride 1 -> 41x41 at scale 1 plus 9x9 at scale 2.
         assert_eq!(out.windows_evaluated, 41 * 41 + 9 * 9);
     }
@@ -272,26 +276,26 @@ mod tests {
         let flat = GrayImage::from_fn(64, 64, |_, _| 128);
         let textured = face_image();
         let mut p_flat = Profiler::new();
-        run_batch(std::slice::from_ref(&flat), &mut p_flat);
+        run_batch(std::slice::from_ref(&flat), 1, &mut p_flat);
         let mut p_tex = Profiler::new();
-        run_batch(std::slice::from_ref(&textured), &mut p_tex);
+        run_batch(std::slice::from_ref(&textured), 1, &mut p_tex);
         assert!(p_tex.total() > p_flat.total());
     }
 
     #[test]
     fn synthetic_batch_runs_clean() {
-        let batch = ImageSynthesizer::new(5).synthesize_batch(3);
+        let batch = ImageSynthesizer::new(5).synthesize_batch(3, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         assert_eq!(out.detections.len(), 3);
         assert!(out.windows_evaluated > 0);
     }
 
     #[test]
     fn deterministic() {
-        let batch = ImageSynthesizer::new(6).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(6).synthesize_batch(2, 1);
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        assert_eq!(run_batch(&batch, &mut p1), run_batch(&batch, &mut p2));
+        assert_eq!(run_batch(&batch, 1, &mut p1), run_batch(&batch, 1, &mut p2));
     }
 }

@@ -8,6 +8,7 @@
 //! divergence-heavy on SIMT hardware.
 
 use crate::image::GrayImage;
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler};
 use serde::{Deserialize, Serialize};
 
@@ -157,8 +158,8 @@ fn segment_score(center: i16, ring: &[i16; 16]) -> Option<u32> {
 }
 
 /// Runs FAST over every image in a batch.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> FastOutput {
-    let corners = images.iter().map(|img| detect(img, prof)).collect();
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> FastOutput {
+    let corners = map_profiled(images, threads, prof, detect);
     prof.count(InstrClass::Stack, 4 * images.len() as u64); // per-image call frames
     FastOutput { corners }
 }
@@ -213,19 +214,19 @@ mod tests {
 
     #[test]
     fn profiling_counts_scale_with_batch() {
-        let batch = ImageSynthesizer::new(1).synthesize_batch(4);
+        let batch = ImageSynthesizer::new(1).synthesize_batch(4, 1);
         let mut p1 = Profiler::new();
-        run_batch(&batch[..2], &mut p1);
+        run_batch(&batch[..2], 1, &mut p1);
         let mut p2 = Profiler::new();
-        run_batch(&batch, &mut p2);
+        run_batch(&batch, 1, &mut p2);
         assert!(p2.total() > p1.total());
     }
 
     #[test]
     fn synthetic_images_yield_corners() {
-        let batch = ImageSynthesizer::new(42).synthesize_batch(3);
+        let batch = ImageSynthesizer::new(42).synthesize_batch(3, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         assert!(out.total_corners() > 0, "synthetic rectangles have corners");
     }
 
@@ -240,11 +241,11 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let batch = ImageSynthesizer::new(7).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(7).synthesize_batch(2, 1);
         let mut p1 = Profiler::new();
-        let a = run_batch(&batch, &mut p1);
+        let a = run_batch(&batch, 1, &mut p1);
         let mut p2 = Profiler::new();
-        let b = run_batch(&batch, &mut p2);
+        let b = run_batch(&batch, 1, &mut p2);
         assert_eq!(a, b);
         assert_eq!(p1.total(), p2.total());
     }

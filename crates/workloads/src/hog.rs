@@ -6,6 +6,7 @@
 
 use crate::image::GrayImage;
 use crate::ops::{self, FloatImage};
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler};
 use serde::{Deserialize, Serialize};
 
@@ -135,8 +136,8 @@ pub(crate) fn describe(img: &GrayImage, prof: &mut Profiler) -> HogDescriptor {
 }
 
 /// Runs HoG over every image in a batch.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> HogOutput {
-    let descriptors = images.iter().map(|img| describe(img, prof)).collect();
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> HogOutput {
+    let descriptors = map_profiled(images, threads, prof, describe);
     prof.count(InstrClass::Stack, 4 * images.len() as u64);
     HogOutput { descriptors }
 }
@@ -195,9 +196,9 @@ mod tests {
 
     #[test]
     fn batch_output_ordered() {
-        let batch = ImageSynthesizer::new(3).synthesize_batch(3);
+        let batch = ImageSynthesizer::new(3).synthesize_batch(3, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         assert_eq!(out.descriptors.len(), 3);
         assert!(out.feature_len() > 0);
     }

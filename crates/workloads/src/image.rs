@@ -6,6 +6,7 @@
 //! and blobs) that give corner detectors, blob detectors and the Haar cascade
 //! real structure to find. Every image is a pure function of its seed.
 
+use bagpred_trace::parallel::parallel_map;
 use bagpred_trace::SplitMix64;
 use serde::{Deserialize, Serialize};
 
@@ -242,16 +243,19 @@ impl ImageSynthesizer {
         img
     }
 
-    /// Generates a batch of `n` images with decorrelated per-image seeds.
-    pub fn synthesize_batch(&self, n: usize) -> Vec<GrayImage> {
+    /// Generates a batch of `n` images with decorrelated per-image seeds,
+    /// synthesizing them on up to `threads` workers.
+    ///
+    /// The per-image seeds are drawn serially from this synthesizer's
+    /// stream first, so the batch is identical at every thread count.
+    pub fn synthesize_batch(&self, n: usize, threads: usize) -> Vec<GrayImage> {
         let mut rng = SplitMix64::new(self.seed);
-        (0..n)
-            .map(|_| {
-                ImageSynthesizer::new(rng.next_u64())
-                    .with_size(self.width, self.height)
-                    .synthesize()
-            })
-            .collect()
+        let seeds: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+        parallel_map(&seeds, threads, |&seed| {
+            ImageSynthesizer::new(seed)
+                .with_size(self.width, self.height)
+                .synthesize()
+        })
     }
 }
 
@@ -384,7 +388,7 @@ mod tests {
 
     #[test]
     fn batch_images_are_distinct() {
-        let batch = ImageSynthesizer::new(5).synthesize_batch(4);
+        let batch = ImageSynthesizer::new(5).synthesize_batch(4, 1);
         assert_eq!(batch.len(), 4);
         assert_ne!(batch[0], batch[1]);
         assert_ne!(batch[2], batch[3]);

@@ -9,6 +9,7 @@
 use crate::image::GrayImage;
 use crate::ops;
 use crate::svm::{self, Sample};
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler};
 use serde::{Deserialize, Serialize};
 
@@ -65,23 +66,22 @@ const REF_IMAGES: usize = 10;
 
 /// Runs the KNN benchmark: a fixed prefix of the batch provides references,
 /// the rest provides queries.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> KnnOutput {
-    let samples = svm::extract_samples_strided(images, SAMPLE_STRIDE, prof);
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> KnnOutput {
+    let samples = svm::extract_samples_strided(images, SAMPLE_STRIDE, threads, prof);
     let samples_per_image = samples.len() / images.len().max(1);
     let ref_images = REF_IMAGES.min((images.len() / 2).max(1));
     let split = (ref_images * samples_per_image).max(1).min(samples.len());
     let (references, queries) = samples.split_at(split);
 
-    let mut predictions = Vec::with_capacity(queries.len());
-    let mut correct = 0usize;
-    for q in queries {
-        let pred = classify(q, references, prof);
-        if pred.signum() == q.label.signum() {
-            correct += 1;
-        }
-        predictions.push(pred);
+    let predictions = map_profiled(queries, threads, prof, |q, prof| {
         prof.count(InstrClass::Control, 1);
-    }
+        classify(q, references, prof)
+    });
+    let correct = queries
+        .iter()
+        .zip(&predictions)
+        .filter(|(q, pred)| pred.signum() == q.label.signum())
+        .count();
     let accuracy = if queries.is_empty() {
         0.0
     } else {
@@ -131,9 +131,9 @@ mod tests {
 
     #[test]
     fn batch_splits_refs_and_queries() {
-        let batch = ImageSynthesizer::new(1).synthesize_batch(4);
+        let batch = ImageSynthesizer::new(1).synthesize_batch(4, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         // 64x64 images, 16x16 patches at stride 8 -> 7x7 = 49 per image;
         // with 4 images, the reference set is capped at 2 images' worth.
         assert_eq!(out.n_references + out.n_queries, 4 * 49);
@@ -144,16 +144,20 @@ mod tests {
     #[test]
     fn reference_set_is_capped_for_large_batches() {
         let mut prof = Profiler::new();
-        let out = run_batch(&ImageSynthesizer::new(1).synthesize_batch(24), &mut prof);
+        let out = run_batch(
+            &ImageSynthesizer::new(1).synthesize_batch(24, 1),
+            1,
+            &mut prof,
+        );
         assert_eq!(out.n_references, 10 * 49);
         assert_eq!(out.n_queries, 14 * 49);
     }
 
     #[test]
     fn knn_beats_chance_on_structured_labels() {
-        let batch = ImageSynthesizer::new(2).synthesize_batch(6);
+        let batch = ImageSynthesizer::new(2).synthesize_batch(6, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         assert!(out.accuracy > 0.6, "accuracy {}", out.accuracy);
     }
 
@@ -162,18 +166,26 @@ mod tests {
         // The reference set is fixed beyond REF_IMAGES, so doubling the
         // batch roughly doubles the all-pairs distance work.
         let mut p40 = Profiler::new();
-        run_batch(&ImageSynthesizer::new(3).synthesize_batch(40), &mut p40);
+        run_batch(
+            &ImageSynthesizer::new(3).synthesize_batch(40, 1),
+            1,
+            &mut p40,
+        );
         let mut p80 = Profiler::new();
-        run_batch(&ImageSynthesizer::new(3).synthesize_batch(80), &mut p80);
+        run_batch(
+            &ImageSynthesizer::new(3).synthesize_batch(80, 1),
+            1,
+            &mut p80,
+        );
         let ratio = p80.total() as f64 / p40.total() as f64;
         assert!((1.8..2.6).contains(&ratio), "ratio {ratio:.2}");
     }
 
     #[test]
     fn deterministic() {
-        let batch = ImageSynthesizer::new(4).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(4).synthesize_batch(2, 1);
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        assert_eq!(run_batch(&batch, &mut p1), run_batch(&batch, &mut p2));
+        assert_eq!(run_batch(&batch, 1, &mut p1), run_batch(&batch, 1, &mut p2));
     }
 }

@@ -50,7 +50,7 @@ mod workload;
 
 pub use benchmark::Benchmark;
 pub use image::{GrayImage, ImageSynthesizer, IntegralImage};
-pub use workload::{Workload, WorkloadOutput, BATCH_SIZES, STANDARD_BATCH};
+pub use workload::{Workload, WorkloadOutput, BATCH_SIZES, MAX_BATCH, STANDARD_BATCH};
 
 pub use facedet::FaceDetOutput;
 pub use fast::FastOutput;

@@ -56,9 +56,9 @@ fn hog_to_sample(desc: &hog::HogDescriptor, label: f32, prof: &mut Profiler) -> 
 }
 
 /// Runs the ObjRec benchmark over a batch of images.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> ObjRecOutput {
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> ObjRecOutput {
     // Stage 1: HoG feature extraction over the whole batch.
-    let hogs = hog::run_batch(images, prof);
+    let hogs = hog::run_batch(images, threads, prof);
 
     // Stage 2: build labelled samples.
     let samples: Vec<Sample> = hogs
@@ -122,18 +122,18 @@ mod tests {
 
     #[test]
     fn pipeline_produces_decisions_for_eval_half() {
-        let batch = ImageSynthesizer::new(1).synthesize_batch(6);
+        let batch = ImageSynthesizer::new(1).synthesize_batch(6, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         assert_eq!(out.n_train, 3);
         assert_eq!(out.decisions.len(), 3);
     }
 
     #[test]
     fn decisions_are_binary() {
-        let batch = ImageSynthesizer::new(2).synthesize_batch(4);
+        let batch = ImageSynthesizer::new(2).synthesize_batch(4, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         for d in out.decisions {
             assert!(d == 1.0 || d == -1.0);
         }
@@ -141,9 +141,9 @@ mod tests {
 
     #[test]
     fn composite_mix_includes_hog_and_svm_work() {
-        let batch = ImageSynthesizer::new(3).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(3).synthesize_batch(2, 1);
         let mut prof = Profiler::new();
-        run_batch(&batch, &mut prof);
+        run_batch(&batch, 1, &mut prof);
         let mix = prof.mix();
         // HoG contributes FP (atan2), SVM contributes SSE (dot products).
         assert!(mix.percent(InstrClass::Fp) > 0.0);
@@ -152,9 +152,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let batch = ImageSynthesizer::new(4).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(4).synthesize_batch(2, 1);
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        assert_eq!(run_batch(&batch, &mut p1), run_batch(&batch, &mut p2));
+        assert_eq!(run_batch(&batch, 1, &mut p1), run_batch(&batch, 1, &mut p2));
     }
 }

@@ -9,6 +9,7 @@
 use crate::fast::{self, Corner};
 use crate::image::GrayImage;
 use crate::ops;
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler, SplitMix64};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -156,9 +157,10 @@ pub(crate) fn detect(img: &GrayImage, prof: &mut Profiler) -> Vec<OrbKeypoint> {
 
 /// Runs ORB over a batch and cross-matches descriptors between consecutive
 /// images (the matching step is what downstream pipelines use ORB for).
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> OrbOutput {
-    let keypoints: Vec<Vec<OrbKeypoint>> = images.iter().map(|img| detect(img, prof)).collect();
-    // Match consecutive image pairs by Hamming distance (brute force).
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> OrbOutput {
+    let keypoints = map_profiled(images, threads, prof, detect);
+    // Match consecutive image pairs by Hamming distance (brute force); the
+    // pairs couple neighbouring images, so matching stays serial.
     for pair in keypoints.windows(2) {
         for a in &pair[0] {
             let mut best = u32::MAX;
@@ -193,9 +195,9 @@ mod tests {
 
     #[test]
     fn keypoints_capped() {
-        let batch = ImageSynthesizer::new(3).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(3).synthesize_batch(2, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         for kps in &out.keypoints {
             assert!(kps.len() <= MAX_KEYPOINTS);
         }
@@ -203,9 +205,9 @@ mod tests {
 
     #[test]
     fn descriptors_differ_between_keypoints() {
-        let batch = ImageSynthesizer::new(5).synthesize_batch(1);
+        let batch = ImageSynthesizer::new(5).synthesize_batch(1, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         let kps = &out.keypoints[0];
         if kps.len() >= 2 {
             assert_ne!(kps[0].descriptor, kps[1].descriptor);
@@ -231,9 +233,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let batch = ImageSynthesizer::new(11).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(11).synthesize_batch(2, 1);
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        assert_eq!(run_batch(&batch, &mut p1), run_batch(&batch, &mut p2));
+        assert_eq!(run_batch(&batch, 1, &mut p1), run_batch(&batch, 1, &mut p2));
     }
 }

@@ -11,6 +11,7 @@
 
 use crate::image::GrayImage;
 use crate::ops::{self, FloatImage};
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler};
 use serde::{Deserialize, Serialize};
 
@@ -253,8 +254,8 @@ pub(crate) fn detect(img: &GrayImage, prof: &mut Profiler) -> Vec<SiftKeypoint> 
 }
 
 /// Runs SIFT over every image in a batch.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> SiftOutput {
-    let keypoints = images.iter().map(|img| detect(img, prof)).collect();
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> SiftOutput {
+    let keypoints = map_profiled(images, threads, prof, detect);
     prof.count(InstrClass::Stack, 6 * images.len() as u64);
     SiftOutput { keypoints }
 }
@@ -308,9 +309,9 @@ mod tests {
 
     #[test]
     fn descriptors_are_normalized() {
-        let batch = ImageSynthesizer::new(2).synthesize_batch(1);
+        let batch = ImageSynthesizer::new(2).synthesize_batch(1, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         for kp in out.keypoints.iter().flatten() {
             assert_eq!(kp.descriptor.len(), 128);
             let norm: f32 = kp.descriptor.iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -320,9 +321,9 @@ mod tests {
 
     #[test]
     fn mix_is_fp_and_simd_heavy() {
-        let batch = ImageSynthesizer::new(3).synthesize_batch(1);
+        let batch = ImageSynthesizer::new(3).synthesize_batch(1, 1);
         let mut prof = Profiler::new();
-        run_batch(&batch, &mut prof);
+        run_batch(&batch, 1, &mut prof);
         let mix = prof.mix();
         use bagpred_trace::InstrClass;
         assert!(
@@ -333,10 +334,10 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let batch = ImageSynthesizer::new(4).synthesize_batch(1);
+        let batch = ImageSynthesizer::new(4).synthesize_batch(1, 1);
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        assert_eq!(run_batch(&batch, &mut p1), run_batch(&batch, &mut p2));
+        assert_eq!(run_batch(&batch, 1, &mut p1), run_batch(&batch, 1, &mut p2));
         assert_eq!(p1.total(), p2.total());
     }
 }

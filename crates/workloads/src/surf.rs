@@ -7,6 +7,7 @@
 
 use crate::image::{GrayImage, IntegralImage};
 use crate::ops;
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler};
 use serde::{Deserialize, Serialize};
 
@@ -216,8 +217,8 @@ pub(crate) fn detect(img: &GrayImage, prof: &mut Profiler) -> Vec<SurfKeypoint> 
 }
 
 /// Runs SURF over every image in a batch.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> SurfOutput {
-    let keypoints = images.iter().map(|img| detect(img, prof)).collect();
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> SurfOutput {
+    let keypoints = map_profiled(images, threads, prof, detect);
     prof.count(InstrClass::Stack, 4 * images.len() as u64);
     SurfOutput { keypoints }
 }
@@ -255,9 +256,9 @@ mod tests {
 
     #[test]
     fn descriptors_are_unit_norm() {
-        let batch = ImageSynthesizer::new(6).synthesize_batch(1);
+        let batch = ImageSynthesizer::new(6).synthesize_batch(1, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         for kp in out.keypoints.iter().flatten() {
             assert_eq!(kp.descriptor.len(), 64);
             let n: f32 = kp.descriptor.iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -276,9 +277,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let batch = ImageSynthesizer::new(8).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(8).synthesize_batch(2, 1);
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        assert_eq!(run_batch(&batch, &mut p1), run_batch(&batch, &mut p2));
+        assert_eq!(run_batch(&batch, 1, &mut p1), run_batch(&batch, 1, &mut p2));
     }
 }

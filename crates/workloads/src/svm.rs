@@ -14,6 +14,7 @@
 
 use crate::image::GrayImage;
 use crate::ops;
+use bagpred_trace::parallel::map_profiled;
 use bagpred_trace::{InstrClass, Profiler, SplitMix64};
 use serde::{Deserialize, Serialize};
 
@@ -99,13 +100,19 @@ pub(crate) fn patch_features(
 /// The label is whether the patch's gradient energy exceeds the batch median
 /// — i.e. "does this patch contain structure", the kind of boundary a vision
 /// pipeline trains detectors on.
-pub(crate) fn extract_samples(images: &[GrayImage], prof: &mut Profiler) -> Vec<Sample> {
-    extract_samples_strided(images, PATCH, prof)
+pub(crate) fn extract_samples(
+    images: &[GrayImage],
+    threads: usize,
+    prof: &mut Profiler,
+) -> Vec<Sample> {
+    extract_samples_strided(images, PATCH, threads, prof)
 }
 
 /// Extracts labelled samples over patches at a given stride; a stride below
 /// [`PATCH`] yields overlapping patches and proportionally more samples
-/// (KNN uses this for a denser reference set).
+/// (KNN uses this for a denser reference set). Patches are extracted on up
+/// to `threads` workers; the median label split spans the whole batch and
+/// stays serial.
 ///
 /// # Panics
 ///
@@ -113,19 +120,19 @@ pub(crate) fn extract_samples(images: &[GrayImage], prof: &mut Profiler) -> Vec<
 pub(crate) fn extract_samples_strided(
     images: &[GrayImage],
     stride: usize,
+    threads: usize,
     prof: &mut Profiler,
 ) -> Vec<Sample> {
     assert!(stride > 0, "stride must be positive");
-    let mut raw: Vec<Vec<f32>> = Vec::new();
-    for img in images {
+    let per_image = map_profiled(images, threads, prof, |img, prof| {
         let px = (img.width().saturating_sub(PATCH)) / stride + 1;
         let py = (img.height().saturating_sub(PATCH)) / stride + 1;
-        for cy in 0..py {
-            for cx in 0..px {
-                raw.push(patch_features(img, cx * stride, cy * stride, prof));
-            }
-        }
-    }
+        (0..py)
+            .flat_map(|cy| (0..px).map(move |cx| (cx, cy)))
+            .map(|(cx, cy)| patch_features(img, cx * stride, cy * stride, prof))
+            .collect::<Vec<_>>()
+    });
+    let raw: Vec<Vec<f32>> = per_image.into_iter().flatten().collect();
     // Median gradient energy defines the class boundary.
     let mut energies: Vec<f32> = raw.iter().map(|f| f[2]).collect();
     energies.sort_by(f32::total_cmp);
@@ -194,8 +201,8 @@ pub(crate) fn predict_accuracy(samples: &[Sample], w: &[f32], b: f32, prof: &mut
 }
 
 /// Runs the SVM benchmark: sample extraction, training, batch prediction.
-pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> SvmOutput {
-    let samples = extract_samples(images, prof);
+pub(crate) fn run_batch(images: &[GrayImage], threads: usize, prof: &mut Profiler) -> SvmOutput {
+    let samples = extract_samples(images, threads, prof);
     let (weights, bias) = train(&samples, prof);
     let train_accuracy = predict_accuracy(&samples, &weights, bias, prof);
     SvmOutput {
@@ -231,8 +238,16 @@ mod tests {
     #[test]
     fn sample_count_scales_with_batch() {
         let mut prof = Profiler::new();
-        let s2 = extract_samples(&ImageSynthesizer::new(3).synthesize_batch(2), &mut prof);
-        let s4 = extract_samples(&ImageSynthesizer::new(3).synthesize_batch(4), &mut prof);
+        let s2 = extract_samples(
+            &ImageSynthesizer::new(3).synthesize_batch(2, 1),
+            1,
+            &mut prof,
+        );
+        let s4 = extract_samples(
+            &ImageSynthesizer::new(3).synthesize_batch(4, 1),
+            1,
+            &mut prof,
+        );
         assert_eq!(s4.len(), 2 * s2.len());
         // 64x64 image -> 4x4 patches of 16x16.
         assert_eq!(s2.len(), 2 * 16);
@@ -241,16 +256,20 @@ mod tests {
     #[test]
     fn both_classes_present() {
         let mut prof = Profiler::new();
-        let samples = extract_samples(&ImageSynthesizer::new(4).synthesize_batch(4), &mut prof);
+        let samples = extract_samples(
+            &ImageSynthesizer::new(4).synthesize_batch(4, 1),
+            1,
+            &mut prof,
+        );
         assert!(samples.iter().any(|s| s.label > 0.0));
         assert!(samples.iter().any(|s| s.label < 0.0));
     }
 
     #[test]
     fn training_beats_chance() {
-        let batch = ImageSynthesizer::new(5).synthesize_batch(6);
+        let batch = ImageSynthesizer::new(5).synthesize_batch(6, 1);
         let mut prof = Profiler::new();
-        let out = run_batch(&batch, &mut prof);
+        let out = run_batch(&batch, 1, &mut prof);
         // Gradient energy is a feature, so the boundary is learnable.
         assert!(
             out.train_accuracy > 0.7,
@@ -261,9 +280,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let batch = ImageSynthesizer::new(6).synthesize_batch(2);
+        let batch = ImageSynthesizer::new(6).synthesize_batch(2, 1);
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        assert_eq!(run_batch(&batch, &mut p1), run_batch(&batch, &mut p2));
+        assert_eq!(run_batch(&batch, 1, &mut p1), run_batch(&batch, 1, &mut p2));
     }
 }

@@ -3,14 +3,24 @@
 use crate::benchmark::Benchmark;
 use crate::image::ImageSynthesizer;
 use crate::{facedet, fast, hog, knn, objrec, orb, sift, surf, svm};
+use bagpred_trace::parallel::configured_threads;
 use bagpred_trace::{KernelProfile, Profiler};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The five input batch sizes the paper uses to multiply data points
 /// (§V-B: 20, 40, 80, 160 and 320 images per batch).
 pub const BATCH_SIZES: [usize; 5] = [20, 40, 80, 160, 320];
+
+/// The largest batch a served request may ask for.
+///
+/// Well above the paper's largest batch (320), and small enough that one
+/// request cannot make the service synthesize gigabytes of images. It
+/// also bounds the keys served traffic can add to the process-wide
+/// profile cache at `Benchmark::ALL.len() * MAX_BATCH`; offline callers
+/// of [`Workload::new`] are not capped.
+pub const MAX_BATCH: usize = 1024;
 
 /// The paper's standard input: a batch of 20 images.
 pub const STANDARD_BATCH: usize = 20;
@@ -97,10 +107,26 @@ impl Workload {
     }
 
     /// Executes the kernel and returns both its dynamic profile and its
-    /// concrete output. Always runs afresh; use [`profile`](Self::profile)
-    /// when only the (cached) characterization is needed.
+    /// concrete output, on [`configured_threads`] workers. Always runs
+    /// afresh; use [`profile`](Self::profile) when only the (cached)
+    /// characterization is needed.
     pub fn run(&self) -> (KernelProfile, WorkloadOutput) {
-        let images = ImageSynthesizer::new(self.benchmark.seed()).synthesize_batch(self.batch_size);
+        self.run_threads(configured_threads())
+    }
+
+    /// Executes the kernel with its per-image stages spread over up to
+    /// `threads` workers.
+    ///
+    /// The profile and output are identical at every thread count: images
+    /// are processed in contiguous chunks whose outputs concatenate and
+    /// whose instruction counts merge in chunk order. Stages that couple
+    /// images (training epochs, consecutive-pair matching, the median
+    /// label split) stay serial. `threads == 1` is the plain serial path,
+    /// and so is a call from inside a `parallel_map` item (a bag worker):
+    /// the outer map already has its workers busy.
+    pub fn run_threads(&self, threads: usize) -> (KernelProfile, WorkloadOutput) {
+        let images =
+            ImageSynthesizer::new(self.benchmark.seed()).synthesize_batch(self.batch_size, threads);
         let mut prof = Profiler::new();
         let n = self.batch_size as u64;
 
@@ -111,7 +137,7 @@ impl Workload {
         // structure of each algorithm and documented in DESIGN.md.
         let (output, profile) = match self.benchmark {
             Benchmark::Fast => {
-                let out = fast::run_batch(&images, &mut prof);
+                let out = fast::run_batch(&images, threads, &mut prof);
                 let corners = out.total_corners() as u64;
                 let profile = KernelProfile::builder(prof)
                     .working_set_bytes(IMAGE_BYTES + corners * 8 / n.max(1))
@@ -127,7 +153,7 @@ impl Workload {
                 (WorkloadOutput::Fast(out), profile)
             }
             Benchmark::Hog => {
-                let out = hog::run_batch(&images, &mut prof);
+                let out = hog::run_batch(&images, threads, &mut prof);
                 let feat_bytes = out
                     .descriptors
                     .iter()
@@ -147,7 +173,7 @@ impl Workload {
                 (WorkloadOutput::Hog(out), profile)
             }
             Benchmark::Knn => {
-                let out = knn::run_batch(&images, &mut prof);
+                let out = knn::run_batch(&images, threads, &mut prof);
                 let pairs = out.n_references as u64 * out.n_queries as u64;
                 let sample_bytes = (out.n_references + out.n_queries) as u64 * 13 * 4;
                 let profile = KernelProfile::builder(prof)
@@ -164,7 +190,7 @@ impl Workload {
                 (WorkloadOutput::Knn(out), profile)
             }
             Benchmark::ObjRec => {
-                let out = objrec::run_batch(&images, &mut prof);
+                let out = objrec::run_batch(&images, threads, &mut prof);
                 let profile = KernelProfile::builder(prof)
                     .working_set_bytes(3 * 4 * IMAGE_BYTES)
                     .parallel_width(IMAGE_BYTES * n)
@@ -179,7 +205,7 @@ impl Workload {
                 (WorkloadOutput::ObjRec(out), profile)
             }
             Benchmark::Orb => {
-                let out = orb::run_batch(&images, &mut prof);
+                let out = orb::run_batch(&images, threads, &mut prof);
                 let kps = out.total_keypoints() as u64;
                 let profile = KernelProfile::builder(prof)
                     .working_set_bytes(IMAGE_BYTES + kps * 40 / n.max(1))
@@ -195,7 +221,7 @@ impl Workload {
                 (WorkloadOutput::Orb(out), profile)
             }
             Benchmark::Sift => {
-                let out = sift::run_batch(&images, &mut prof);
+                let out = sift::run_batch(&images, threads, &mut prof);
                 let kps = out.total_keypoints() as u64;
                 let profile = KernelProfile::builder(prof)
                     .working_set_bytes(4 * IMAGE_BYTES * 8) // per-image pyramid planes
@@ -211,7 +237,7 @@ impl Workload {
                 (WorkloadOutput::Sift(out), profile)
             }
             Benchmark::Surf => {
-                let out = surf::run_batch(&images, &mut prof);
+                let out = surf::run_batch(&images, threads, &mut prof);
                 let kps = out.total_keypoints() as u64;
                 let profile = KernelProfile::builder(prof)
                     .working_set_bytes(8 * IMAGE_BYTES) // per-image integral tables
@@ -227,7 +253,7 @@ impl Workload {
                 (WorkloadOutput::Surf(out), profile)
             }
             Benchmark::Svm => {
-                let out = svm::run_batch(&images, &mut prof);
+                let out = svm::run_batch(&images, threads, &mut prof);
                 let sample_bytes = out.n_samples as u64 * 13 * 4;
                 let profile = KernelProfile::builder(prof)
                     .working_set_bytes(sample_bytes)
@@ -244,7 +270,7 @@ impl Workload {
                 (WorkloadOutput::Svm(out), profile)
             }
             Benchmark::FaceDet => {
-                let out = facedet::run_batch(&images, &mut prof);
+                let out = facedet::run_batch(&images, threads, &mut prof);
                 // The 9-feature demonstration cascade stands in for a
                 // production Viola-Jones cascade (hundreds of features across
                 // ~20 stages): the dynamic work extrapolates 8x while the
@@ -269,24 +295,45 @@ impl Workload {
         (profile, output)
     }
 
-    /// The dynamic profile of this workload, computed once per process and
-    /// cached: workloads are pure functions of `(benchmark, batch_size)`.
+    /// The dynamic profile of this workload, cached for the life of the
+    /// process: workloads are pure functions of `(benchmark, batch_size)`.
+    ///
+    /// The kernels run exactly once per workload even when many threads
+    /// ask at the same moment: later callers wait for the first one's
+    /// result, while profiles of other workloads proceed concurrently.
     pub fn profile(&self) -> KernelProfile {
-        static CACHE: OnceLock<Mutex<HashMap<(Benchmark, usize), KernelProfile>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = cache
-            .lock()
-            .expect("profile cache poisoned")
-            .get(&(self.benchmark, self.batch_size))
-        {
-            return hit.clone();
+        static CACHE: SingleFlight<(Benchmark, usize), KernelProfile> = SingleFlight::new();
+        CACHE.get_or_compute((self.benchmark, self.batch_size), || self.run().0)
+    }
+}
+
+/// A map whose value for each key is computed at most once, even under
+/// concurrent callers.
+///
+/// The map lock is held only to find or insert a key's slot; the
+/// computation runs inside that slot's [`OnceLock`], so callers of one key
+/// wait for a single computation while other keys compute in parallel.
+struct SingleFlight<K, V> {
+    slots: Mutex<BTreeMap<K, Arc<OnceLock<V>>>>,
+}
+
+impl<K: Ord, V: Clone> SingleFlight<K, V> {
+    const fn new() -> Self {
+        Self {
+            slots: Mutex::new(BTreeMap::new()),
         }
-        let (profile, _) = self.run();
-        cache
-            .lock()
-            .expect("profile cache poisoned")
-            .insert((self.benchmark, self.batch_size), profile.clone());
-        profile
+    }
+
+    /// The value for `key`, running `compute` if no caller has yet.
+    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .expect("profile cache poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        slot.get_or_init(compute).clone()
     }
 }
 
@@ -294,6 +341,9 @@ impl Workload {
 mod tests {
     use super::*;
     use bagpred_trace::InstrClass;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     #[should_panic(expected = "batch size must be positive")]
@@ -363,6 +413,73 @@ mod tests {
         let svm = Workload::new(Benchmark::Svm, 4).profile();
         let sift = Workload::new(Benchmark::Sift, 4).profile();
         assert!(sift.parallel_width() > 100 * svm.parallel_width());
+    }
+
+    #[test]
+    fn profile_and_output_are_identical_at_every_thread_count() {
+        for b in Benchmark::ALL {
+            for batch in [1, 2, 3, 7, 20, 33] {
+                let w = Workload::new(b, batch);
+                let serial = w.run_threads(1);
+                for threads in [2, 5] {
+                    assert!(
+                        w.run_threads(threads) == serial,
+                        "{b}@{batch}: {threads} threads diverge from the serial run"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_compute_it_once() {
+        const CALLERS: usize = 8;
+        let cache: SingleFlight<u32, u64> = SingleFlight::new();
+        let runs = AtomicUsize::new(0);
+        let arrived = AtomicUsize::new(0);
+        let values: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        cache.get_or_compute(7, || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            // Stay in flight until every caller has
+                            // arrived, so they all race this computation.
+                            while arrived.load(Ordering::SeqCst) < CALLERS {
+                                std::thread::yield_now();
+                            }
+                            49
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(values, vec![49; CALLERS]);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn one_key_in_flight_does_not_block_another() {
+        let cache: SingleFlight<u32, u32> = SingleFlight::new();
+        let (release, blocked) = mpsc::channel::<()>();
+        let cache = &cache;
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(move || {
+                cache.get_or_compute(1, move || {
+                    blocked
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("key 2 waited behind key 1");
+                    10
+                })
+            });
+            // Key 1 cannot finish until key 2 has been computed.
+            assert_eq!(cache.get_or_compute(2, || 20), 20);
+            release.send(()).unwrap();
+            assert_eq!(slow.join().unwrap(), 10);
+        });
+        assert_eq!(cache.get_or_compute(1, || unreachable!()), 10);
     }
 
     #[test]

@@ -182,6 +182,28 @@ timeout 300 cargo test -q -p bagpred-ml --lib -- --exact \
   flat::tests::forest_remap_rejects_a_short_map \
   flat::tests::forest_remap_rejects_targets_beyond_the_width
 
+echo "== profiling: thread equivalence + single flight + batch cap (bounded at 300s) =="
+# The profiler invariants, run by name so they can never be silently
+# filtered out: a profile and its kernel output must be identical at 1,
+# 2 and 5 threads for every benchmark, chunked profiled maps must merge
+# to the serial counts, worker panics must surface with their message,
+# maps nested in a map item must stay on that item's thread (so bag
+# workers never multiply threads), concurrent callers of one workload
+# must run its kernels once (without blocking other workloads), and a
+# batch above MAX_BATCH must be refused on both wire dialects before any
+# profiling, leaving the server up.
+timeout 120 cargo test -q -p bagpred-trace --lib -- --exact \
+  parallel::tests::profiled_map_matches_the_serial_stage_at_every_thread_count \
+  parallel::tests::worker_panics_propagate_with_their_message \
+  parallel::tests::maps_nested_in_a_map_item_run_serially_on_its_thread
+timeout 300 cargo test -q -p bagpred-workloads --lib -- --exact \
+  workload::tests::profile_and_output_are_identical_at_every_thread_count \
+  workload::tests::concurrent_callers_of_one_key_compute_it_once \
+  workload::tests::one_key_in_flight_does_not_block_another
+timeout 120 cargo test -q -p bagpred-serve --lib -- --exact \
+  engine::tests::batches_above_the_limit_are_rejected_before_any_profiling \
+  server::tests::oversized_batches_are_rejected_on_both_dialects_and_the_server_stays_up
+
 echo "== bench smoke + regression gate (vs committed BENCH_pipeline.json) =="
 # Few-iteration smoke run; `repro bench` exits non-zero when any
 # *_ns_per_record rate regresses past 2x the committed baseline.
