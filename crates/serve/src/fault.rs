@@ -220,6 +220,21 @@ impl FaultPlan {
         self.consume(site, model)
     }
 
+    /// Whether a fault armed at `site` for `model` still has budget left.
+    /// Read-only: consumes no budget and no sampling attempt. The engine
+    /// asks it before running a job inline, so a deliberately slowed
+    /// job always queues instead of stalling its submitter.
+    pub fn may_fire(&self, site: FaultSite, model: Option<&str>) -> bool {
+        self.faults.iter().any(|fault| {
+            fault.site == site
+                && fault
+                    .model
+                    .as_deref()
+                    .is_none_or(|filter| model == Some(filter))
+                && fault.remaining.load(Ordering::Relaxed) > 0
+        })
+    }
+
     /// Total faults injected so far across all sites.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)

@@ -19,7 +19,8 @@
 //!   features keyed by `(benchmark, batch_size)`, fairness and n-bag
 //!   aggregates keyed by the canonical bag.
 //! * [`engine`] — [`PredictionService`]: a bounded queue + worker pool
-//!   with batched draining and explicit load shedding.
+//!   per model with batched draining and explicit load shedding; cheap
+//!   warm requests run inline on the submitting thread instead.
 //! * [`admission`] — greedy packing of apps onto `k` simulated GPUs
 //!   under a predicted-latency budget.
 //! * [`metrics`] — request counters and lock-free latency histograms
@@ -84,7 +85,9 @@ pub mod snapshot;
 pub use admission::{AdmissionPolicy, GpuAssignment, Placement};
 pub use cache::{CacheMapStats, FeatureCache};
 pub use client::{Client, ClientConfig, ClientError};
-pub use engine::{PredictionService, Reply, Request, ServiceConfig, StatsReport};
+pub use engine::{
+    PredictionService, Reply, Request, RequestOptions, ServiceConfig, StatsReport, Submitted,
+};
 pub use error::ServeError;
 pub use fault::{FaultPlan, FaultSite, HealthReport, ModelHealth};
 pub use metrics::{

@@ -236,6 +236,7 @@ impl ModelMetrics {
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     enqueued: AtomicU64,
+    inline: AtomicU64,
     served: AtomicU64,
     shed: AtomicU64,
     queue_wait: LogHistogram,
@@ -247,13 +248,20 @@ impl ShardCounters {
         Self::default()
     }
 
-    /// Counts a job accepted into this shard's queue.
+    /// Counts a job accepted by this shard: queued, or run inline.
     pub fn on_enqueued(&self) {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a job drained and answered by this shard's workers, and
-    /// records how long it sat in *this* shard's queue.
+    /// Counts an accepted job its caller ran on its own thread instead
+    /// of queueing it (the fast path for cheap requests).
+    pub fn on_inline(&self) {
+        self.inline.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a job answered under one of this shard's slots (drained by
+    /// a worker, or run inline), and records how long it sat in *this*
+    /// shard's queue.
     pub fn on_served(&self, queue_wait: Duration) {
         self.served.fetch_add(1, Ordering::Relaxed);
         self.queue_wait.record_duration(queue_wait);
@@ -277,6 +285,7 @@ impl ShardCounters {
             name: name.to_string(),
             queue_depth,
             enqueued: self.enqueued.load(Ordering::Relaxed),
+            inline: self.inline.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             queue_wait: LatencySummary::of(&self.queue_wait.snapshot()),
@@ -293,9 +302,12 @@ pub struct ShardSnapshot {
     pub name: String,
     /// Jobs waiting in the shard queue right now.
     pub queue_depth: usize,
-    /// Jobs accepted into the queue since start.
+    /// Jobs accepted since start: queued, or run inline.
     pub enqueued: u64,
-    /// Jobs drained and answered since start.
+    /// Accepted jobs run inline on the submitting thread since start
+    /// (a subset of `enqueued`).
+    pub inline: u64,
+    /// Jobs answered (drained by a worker, or run inline) since start.
     pub served: u64,
     /// Jobs refused (queue full) or expired at dequeue since start.
     pub shed: u64,

@@ -508,12 +508,17 @@ pub(crate) fn render(inner: &Inner) -> String {
     expo.header(
         "bagpred_shard_enqueued_total",
         "counter",
-        "Jobs accepted into the shard's queue, per shard.",
+        "Jobs accepted by the shard, queued or run inline, per shard.",
+    );
+    expo.header(
+        "bagpred_shard_inline_total",
+        "counter",
+        "Accepted jobs run inline on the submitting thread instead of queued, per shard.",
     );
     expo.header(
         "bagpred_shard_served_total",
         "counter",
-        "Jobs drained and answered by the shard's workers, per shard.",
+        "Jobs answered under the shard's slots (by a worker or inline), per shard.",
     );
     expo.header(
         "bagpred_shard_shed_total",
@@ -537,6 +542,7 @@ pub(crate) fn render(inner: &Inner) -> String {
             &labels,
             shard.enqueued as f64,
         );
+        expo.sample("bagpred_shard_inline_total", &labels, shard.inline as f64);
         expo.sample("bagpred_shard_served_total", &labels, shard.served as f64);
         expo.sample("bagpred_shard_shed_total", &labels, shard.shed as f64);
         for (quantile, value) in [

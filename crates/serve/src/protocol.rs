@@ -102,6 +102,7 @@
 //! model produced — the integration tests assert byte-identity against
 //! the offline predictor.
 
+pub use crate::engine::RequestOptions;
 use crate::engine::{Reply, Request, StatsReport};
 use crate::error::ServeError;
 use crate::metrics::Priority;
@@ -149,22 +150,6 @@ fn take_kv<'a>(tokens: &mut Vec<&'a str>, key: &str) -> Option<&'a str> {
     Some(value)
 }
 
-/// Per-request options that ride alongside any verb.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RequestOptions {
-    /// Freshness budget from `deadline_ms=N`: how long the request may
-    /// wait before a worker picks it up. `None` means wait forever.
-    pub deadline: Option<Duration>,
-    /// Brownout class from `prio=high|normal|low` (default `normal`):
-    /// which shedding watermark the request enqueues under.
-    pub priority: Priority,
-    /// Hedge link from `hedge_of=N`: the request id of the earlier
-    /// attempt this one is a hedge of, so the engine can deduplicate
-    /// the pair's accounting. Only meaningful on tagged (binary
-    /// protocol) submissions.
-    pub hedge_of: Option<u64>,
-}
-
 /// Parses one request line.
 ///
 /// Convenience wrapper over [`parse_request_options`] that discards the
@@ -177,7 +162,9 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     parse_request_options(line).map(|(request, _)| request)
 }
 
-/// Parses one request line plus its cross-verb options.
+/// Parses one request line plus its cross-verb options: `deadline_ms=`,
+/// `prio=` and `hedge_of=` fill the matching [`RequestOptions`] fields;
+/// the trace and the reply route are the submitter's to set.
 ///
 /// `deadline_ms=N` is stripped before verb dispatch, so it is accepted
 /// (and honoured) on every request kind.
@@ -429,12 +416,13 @@ fn format_stats(s: &StatsReport) -> String {
     for shard in &s.shards {
         out.push_str(&format!(
             " shard_{0}_depth={1} shard_{0}_enqueued={2} shard_{0}_served={3} \
-             shard_{0}_shed={4} shard_{0}_wait_p99_us={5}",
+             shard_{0}_shed={4} shard_{0}_inline={5} shard_{0}_wait_p99_us={6}",
             shard.name,
             shard.queue_depth,
             shard.enqueued,
             shard.served,
             shard.shed,
+            shard.inline,
             shard.queue_wait.p99_us,
         ));
     }
@@ -500,12 +488,14 @@ pub fn format_outcome(outcome: &Result<Reply, ServeError>) -> String {
             // model's waits together.
             if let Some(s) = shard {
                 out.push_str(&format!(
-                    " shard={} shard_depth={} shard_enqueued={} shard_served={} shard_shed={} {}",
+                    " shard={} shard_depth={} shard_enqueued={} shard_served={} shard_shed={} \
+                     shard_inline={} {}",
                     s.name,
                     s.queue_depth,
                     s.enqueued,
                     s.served,
                     s.shed,
+                    s.inline,
                     format_summary("shard_wait", &s.queue_wait),
                 ));
             }

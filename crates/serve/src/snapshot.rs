@@ -46,6 +46,9 @@ pub enum ServableModel {
     NBag(NBagPredictor),
 }
 
+/// A registered model with the name it is registered under.
+pub(crate) type NamedModel = (String, Arc<ServableModel>);
+
 fn feature_by_name(name: &str) -> Option<Feature> {
     Feature::ALL.into_iter().find(|f| f.name() == name)
 }
@@ -309,6 +312,22 @@ impl ModelRegistry {
             .collect();
         entries.sort();
         entries
+    }
+
+    /// The lexicographically first pair model and first n-bag model, in
+    /// one pass under one read lock: the default-model scan every
+    /// request without an explicit `model=` pays, so it clones one
+    /// name per kind and formats no descriptions.
+    pub(crate) fn first_of_each_kind(&self) -> (Option<NamedModel>, Option<NamedModel>) {
+        let models = self.models.read().expect("registry lock poisoned");
+        let first = |pair: bool| {
+            models
+                .iter()
+                .filter(|(_, model)| matches!(&***model, ServableModel::Pair(_)) == pair)
+                .min_by(|a, b| a.0.cmp(b.0))
+                .map(|(name, model)| (name.clone(), Arc::clone(model)))
+        };
+        (first(true), first(false))
     }
 
     /// Number of registered models.
